@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/journal"
+	"repro/internal/modelio"
 	"repro/internal/server"
 	"repro/internal/telemetry"
 )
@@ -71,28 +72,19 @@ func (g *Gateway) consumeHeadroom(peer string) {
 // that are down, unready or answer without a ready model advertise no
 // headroom.
 func (g *Gateway) refreshHeadroomLocked(r *http.Request) {
-	ctx, cancel := context.WithTimeout(r.Context(), g.cfg.ProbeTimeout)
-	defer cancel()
-	fresh := make(map[string]int, len(g.remotePeers))
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for _, peer := range g.remotePeers {
-		if !g.members.peerUp(peer) {
-			continue
-		}
-		wg.Add(1)
-		go func(peer string) {
-			defer wg.Done()
-			self, ok := g.fetchSelf(ctx, peer)
-			if !ok || !self.Ready {
-				return
+	answers := fanOut(r.Context(), g, g.cfg.ProbeTimeout, nil,
+		func(ctx context.Context, peer string) (*modelio.SelfResponse, bool) {
+			if !g.members.peerUp(peer) {
+				return nil, false
 			}
-			mu.Lock()
-			fresh[peer] = self.Headroom
-			mu.Unlock()
-		}(peer)
+			return g.fetchSelf(ctx, peer)
+		})
+	fresh := make(map[string]int, len(g.remotePeers))
+	for _, res := range answers[1:] {
+		if res.ok && res.val.Ready {
+			fresh[res.node] = res.val.Headroom
+		}
 	}
-	wg.Wait()
 	g.headroom.headroom = fresh
 	g.headroom.fetched = time.Now()
 }
@@ -159,16 +151,10 @@ func (g *Gateway) redirectOverloaded(w http.ResponseWriter, r *http.Request, pat
 			continue
 		}
 		res := g.forwardOne(ctx, peer, path, body, false, redirected)
-		switch {
-		case res.good():
-			ps.breaker.success()
-		case ctx.Err() != nil:
-			ps.breaker.cancelProbe()
-			return false
-		default:
-			g.metrics.forwardFailures.Add(1)
-			if opened := ps.breaker.failure(time.Now()); opened {
-				g.cfg.Logger.Warn("cluster: circuit breaker opened", "peer", peer)
+		g.recordVerdict(ctx, peer, ps, res)
+		if !res.good() {
+			if ctx.Err() != nil {
+				return false
 			}
 			continue
 		}

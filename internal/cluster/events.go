@@ -2,23 +2,11 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
-	"strconv"
-	"sync"
-	"time"
 
 	"repro/internal/journal"
 	"repro/internal/server"
-	"repro/internal/telemetry"
 )
-
-// eventsFanoutTimeout bounds the fleet event collection round: journal reads
-// are small in-memory slices, so a member that cannot answer in this window
-// is listed as missing rather than stalling the timeline.
-const eventsFanoutTimeout = 5 * time.Second
 
 // maxEventsResponseBytes caps one member's journal payload. The journal's
 // per-type caps bound a full dump to a few MiB of JSON, so 32 MiB is far
@@ -50,81 +38,38 @@ func (g *Gateway) handleEvents(w http.ResponseWriter, r *http.Request) {
 		g.writeError(w, http.StatusForbidden, "cluster secret required")
 		return
 	}
-	q := r.URL.Query()
-	if typ := q.Get("type"); typ != "" && !journal.KnownType(typ) {
-		g.writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown event type %q", typ))
+	f, err := journal.ParseFilter(r.URL.Query())
+	if err != nil {
+		g.writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	limit := 0
-	if v := q.Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			g.writeError(w, http.StatusBadRequest, fmt.Sprintf("bad limit %q", v))
-			return
-		}
-		limit = n
+	path := "/debug/events"
+	if r.URL.RawQuery != "" {
+		path += "?" + r.URL.RawQuery
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), eventsFanoutTimeout)
-	defer cancel()
-
-	type nodeEvents struct {
-		node   string
-		events []journal.Event
-		ok     bool
-	}
-	results := make([]nodeEvents, 1+len(g.remotePeers))
-	results[0] = nodeEvents{node: g.cfg.Self, events: g.localEvents(q), ok: true}
-	var wg sync.WaitGroup
-	for i, peer := range g.remotePeers {
-		wg.Add(1)
-		go func(slot int, peer string) {
-			defer wg.Done()
-			events, ok := g.fetchEvents(ctx, peer, r.URL.RawQuery)
-			results[slot] = nodeEvents{node: peer, events: events, ok: ok}
-		}(1+i, peer)
-	}
-	wg.Wait()
+	answers := fanOut(r.Context(), g, fleetFanoutTimeout, g.jn.Events(f),
+		func(ctx context.Context, peer string) ([]journal.Event, bool) {
+			eres, ok := fleetGet[server.EventsResponse](ctx, g, peer, path, maxEventsResponseBytes, true)
+			return eres.Events, ok
+		})
 
 	out := FleetEvents{Self: g.cfg.Self}
 	var timelines [][]journal.Event
-	for _, res := range results {
+	for _, res := range answers {
 		if !res.ok {
 			out.Missing = append(out.Missing, res.node)
 			continue
 		}
 		out.Nodes = append(out.Nodes, res.node)
-		if len(res.events) > 0 {
-			timelines = append(timelines, res.events)
+		if len(res.val) > 0 {
+			timelines = append(timelines, res.val)
 		}
 	}
 	out.Events = mergeTimelines(timelines)
-	if limit > 0 && len(out.Events) > limit {
-		out.Events = out.Events[len(out.Events)-limit:]
+	if f.Limit > 0 && len(out.Events) > f.Limit {
+		out.Events = out.Events[len(out.Events)-f.Limit:]
 	}
 	g.writeJSON(w, http.StatusOK, out)
-}
-
-// localEvents reads the local journal under the same query filters the
-// remote members apply ("" journal contributes nothing).
-func (g *Gateway) localEvents(q map[string][]string) []journal.Event {
-	get := func(k string) string {
-		if vs := q[k]; len(vs) > 0 {
-			return vs[0]
-		}
-		return ""
-	}
-	f := journal.Filter{Type: get("type"), TraceID: get("trace")}
-	if v := get("since"); v != "" {
-		if since, err := strconv.ParseUint(v, 10, 64); err == nil {
-			f.SinceSeq = since
-		}
-	}
-	if v := get("limit"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			f.Limit = n
-		}
-	}
-	return g.jn.Events(f)
 }
 
 // mergeTimelines k-way merges per-node event slices (each ascending in that
@@ -157,49 +102,4 @@ func mergeTimelines(timelines [][]journal.Event) []journal.Event {
 		}
 	}
 	return out
-}
-
-// fetchEvents asks one peer for its journal slice. ok=false means the peer
-// could not answer (down or erroring); a clean "journal disabled" 404 is
-// ok=true with no events.
-func (g *Gateway) fetchEvents(ctx context.Context, peer, rawQuery string) ([]journal.Event, bool) {
-	url := "http://" + peer + "/debug/events"
-	if rawQuery != "" {
-		url += "?" + rawQuery
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, false
-	}
-	id := telemetry.FromContext(ctx).ID()
-	if !telemetry.ValidID(id) {
-		id = telemetry.NewID()
-	}
-	req.Header.Set("X-Request-Id", id)
-	if g.cfg.Secret != "" {
-		req.Header.Set(headerSecret, g.cfg.Secret)
-	}
-	resp, err := g.client.Do(req)
-	if err != nil {
-		return nil, false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return nil, true
-	}
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return nil, false
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxEventsResponseBytes))
-	if err != nil {
-		return nil, false
-	}
-	var eres server.EventsResponse
-	if err := json.Unmarshal(body, &eres); err != nil {
-		g.cfg.Logger.Warn("cluster: bad events payload", "peer", peer, "error", err)
-		return nil, false
-	}
-	return eres.Events, true
 }

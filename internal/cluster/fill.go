@@ -1,10 +1,8 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
-	"io"
 	"net/http"
 
 	"repro/internal/core"
@@ -76,36 +74,12 @@ func (f *peerFiller) Fill(ctx context.Context, key string, _ *modelio.SolveReque
 // alone.
 func (f *peerFiller) fetch(ctx context.Context, peer string, body []byte, parentSpan string) (*core.Result, *core.Checkpoint, bool) {
 	g := f.g
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://"+peer+"/cluster/v1/export", bytes.NewReader(body))
+	req, err := newPeerRequest(ctx, g.cfg.Secret, http.MethodPost, peer, "/cluster/v1/export", body, parentSpan)
 	if err != nil {
 		return nil, nil, false
 	}
-	req.Header.Set("Content-Type", "application/json")
-	if g.cfg.Secret != "" {
-		req.Header.Set(headerSecret, g.cfg.Secret)
-	}
-	if tr := telemetry.FromContext(ctx); tr.ID() != "" {
-		req.Header.Set("X-Request-Id", tr.ID())
-	}
-	if parentSpan != "" {
-		req.Header.Set("X-Parent-Span", parentSpan)
-	}
-	resp, err := g.client.Do(req)
-	if err != nil {
-		return nil, nil, false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return nil, nil, false
-	}
-	respBody, err := io.ReadAll(io.LimitReader(resp.Body, maxExportResponseBytes))
-	if err != nil {
-		return nil, nil, false
-	}
-	var state modelio.TrajectoryState
-	if err := json.Unmarshal(respBody, &state); err != nil {
-		g.cfg.Logger.Warn("cluster: bad export payload", "peer", peer, "error", err)
+	state, ok := peerJSON[modelio.TrajectoryState](g, req, maxExportResponseBytes, false)
+	if !ok {
 		return nil, nil, false
 	}
 	traj, cp, err := state.Restore()

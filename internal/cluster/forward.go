@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -130,20 +129,7 @@ func (g *Gateway) forwardRound(parent context.Context, path string, body []byte,
 			// draining the channel, and a launched-but-unrecorded request
 			// would hold a half-open probe slot forever, wedging the
 			// breaker until process restart.
-			switch {
-			case res.good():
-				ps.breaker.success()
-			case ctx.Err() != nil:
-				// Abandoned, not answered — the race already has a winner
-				// or the parent context ended. No verdict; just release
-				// any probe slot this request was holding.
-				ps.breaker.cancelProbe()
-			default:
-				g.metrics.forwardFailures.Add(1)
-				if opened := ps.breaker.failure(time.Now()); opened {
-					g.cfg.Logger.Warn("cluster: circuit breaker opened", "peer", peer)
-				}
-			}
+			g.recordVerdict(ctx, peer, ps, res)
 			results <- res
 		}()
 	}
@@ -196,6 +182,24 @@ func (g *Gateway) forwardRound(parent context.Context, path string, body []byte,
 	}
 }
 
+// recordVerdict feeds one forward attempt's outcome to the peer's breaker.
+// An attempt abandoned, not answered — the hedge race already has a winner
+// or the caller gave up — gives no verdict and just releases any probe slot
+// it was holding.
+func (g *Gateway) recordVerdict(ctx context.Context, peer string, ps *peerState, res fwdResult) {
+	switch {
+	case res.good():
+		ps.breaker.success()
+	case ctx.Err() != nil:
+		ps.breaker.cancelProbe()
+	default:
+		g.metrics.forwardFailures.Add(1)
+		if opened := ps.breaker.failure(time.Now()); opened {
+			g.cfg.Logger.Warn("cluster: circuit breaker opened", "peer", peer)
+		}
+	}
+}
+
 // hedgeDelay picks how long the primary peer runs alone: its recent latency
 // percentile, clamped to [HedgeMin, HedgeMax]; with no history yet, HedgeMin
 // (an unknown peer earns no head start).
@@ -228,26 +232,16 @@ func (g *Gateway) forwardOne(ctx context.Context, peer, path string, body []byte
 
 	g.metrics.forwards.Add(1)
 	start := time.Now()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://"+peer+path, bytes.NewReader(body))
+	req, err := newPeerRequest(ctx, g.cfg.Secret, http.MethodPost, peer, path, body, span.ID())
 	if err != nil {
 		return fwdResult{peer: peer, err: err, hedged: hedge}
 	}
-	req.Header.Set("Content-Type", "application/json")
 	for k, vs := range extra {
 		for _, v := range vs {
 			req.Header.Add(k, v)
 		}
 	}
 	req.Header.Set(headerForwarded, g.cfg.Self)
-	if g.cfg.Secret != "" {
-		req.Header.Set(headerSecret, g.cfg.Secret)
-	}
-	if id := tr.ID(); id != "" {
-		req.Header.Set("X-Request-Id", id)
-	}
-	if sid := span.ID(); sid != "" {
-		req.Header.Set("X-Parent-Span", sid)
-	}
 	resp, err := g.client.Do(req)
 	if err != nil {
 		span.SetAttr("error", err.Error())

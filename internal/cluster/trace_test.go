@@ -262,6 +262,9 @@ func TestOutboundHeaderPropagation(t *testing.T) {
 	if got := seen["/v1/solve"].Get("X-Request-Id"); got != "audit-trace-1" {
 		t.Errorf("forward propagated X-Request-Id %q, want the caller's trace ID", got)
 	}
+	if got := seen["/debug/traces/audit-trace-1"].Get("X-Request-Id"); got != "audit-trace-1" {
+		t.Errorf("trace fragment fetch carried X-Request-Id %q, want the caller's trace ID", got)
+	}
 	if got := seen["/v1/solve"].Get("X-Cluster-Forwarded"); got == "" {
 		t.Error("forward did not mark the hop with X-Cluster-Forwarded")
 	}

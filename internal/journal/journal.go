@@ -17,10 +17,14 @@ package journal
 import (
 	"fmt"
 	"io"
+	"net/url"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/prom"
 )
 
 // The closed set of event types. Metrics expose every type from the first
@@ -188,6 +192,30 @@ type Filter struct {
 	Limit int
 }
 
+// ParseFilter reads a Filter from the /debug/events query parameters (type,
+// since, trace, limit), rejecting an unknown type or a malformed number.
+func ParseFilter(q url.Values) (Filter, error) {
+	f := Filter{Type: q.Get("type"), TraceID: q.Get("trace")}
+	if f.Type != "" && !KnownType(f.Type) {
+		return f, fmt.Errorf("unknown event type %q", f.Type)
+	}
+	if v := q.Get("since"); v != "" {
+		since, err := strconv.ParseUint(v, 10, 64)
+		if err != nil {
+			return f, fmt.Errorf("bad since %q", v)
+		}
+		f.SinceSeq = since
+	}
+	if v := q.Get("limit"); v != "" {
+		limit, err := strconv.Atoi(v)
+		if err != nil || limit < 0 {
+			return f, fmt.Errorf("bad limit %q", v)
+		}
+		f.Limit = limit
+	}
+	return f, nil
+}
+
 // Events returns the retained events matching f in ascending sequence
 // order. Nil/disabled journals return nil.
 func (j *Journal) Events(f Filter) []Event {
@@ -275,20 +303,18 @@ func (j *Journal) WriteMetrics(w io.Writer) error {
 	for _, ts := range s.Types {
 		byType[ts.Type] = ts
 	}
-	fmt.Fprintln(w, "# HELP solverd_journal_events_stored Journal events currently retained, by type.")
-	fmt.Fprintln(w, "# TYPE solverd_journal_events_stored gauge")
+	p := prom.NewWriter(w)
+	p.Family("solverd_journal_events_stored", "gauge", "Journal events currently retained, by type.")
 	for _, typ := range Types {
-		fmt.Fprintf(w, "solverd_journal_events_stored{type=%q} %d\n", typ, byType[typ].Stored)
+		p.Int("solverd_journal_events_stored", int64(byType[typ].Stored), "type", typ)
 	}
-	fmt.Fprintln(w, "# HELP solverd_journal_events_total Journal events appended since start, by type.")
-	fmt.Fprintln(w, "# TYPE solverd_journal_events_total counter")
+	p.Family("solverd_journal_events_total", "counter", "Journal events appended since start, by type.")
 	for _, typ := range Types {
-		fmt.Fprintf(w, "solverd_journal_events_total{type=%q} %d\n", typ, byType[typ].Appended)
+		p.Uint("solverd_journal_events_total", byType[typ].Appended, "type", typ)
 	}
-	fmt.Fprintln(w, "# HELP solverd_journal_events_evicted_total Journal events evicted oldest-first to stay within the per-type cap, by type.")
-	fmt.Fprintln(w, "# TYPE solverd_journal_events_evicted_total counter")
+	p.Family("solverd_journal_events_evicted_total", "counter", "Journal events evicted oldest-first to stay within the per-type cap, by type.")
 	for _, typ := range Types {
-		fmt.Fprintf(w, "solverd_journal_events_evicted_total{type=%q} %d\n", typ, byType[typ].Evicted)
+		p.Uint("solverd_journal_events_evicted_total", byType[typ].Evicted, "type", typ)
 	}
-	return nil
+	return p.Err()
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/journal"
 	"repro/internal/obs"
+	"repro/internal/prom"
 	"repro/internal/telemetry"
 )
 
@@ -169,32 +170,30 @@ func (d *DeviationTracker) Violations() []DeviationEvent {
 func (d *DeviationTracker) WriteMetrics(w io.Writer) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	fmt.Fprintln(w, "# HELP solverd_prediction_deviation_ratio Latest |predicted-measured|/measured per validation metric.")
-	fmt.Fprintln(w, "# TYPE solverd_prediction_deviation_ratio gauge")
-	for _, m := range []string{"throughput", "cycle_time"} {
-		fmt.Fprintf(w, "solverd_prediction_deviation_ratio{metric=%q} %g\n", m, d.latest[m])
+	metrics := []string{"throughput", "cycle_time"}
+	p := prom.NewWriter(w)
+	p.Family("solverd_prediction_deviation_ratio", "gauge", "Latest |predicted-measured|/measured per validation metric.")
+	for _, m := range metrics {
+		p.Float("solverd_prediction_deviation_ratio", d.latest[m], "metric", m)
 	}
-	fmt.Fprintln(w, "# HELP solverd_prediction_deviation_ratio_mean Mean deviation ratio over all observations per metric.")
-	fmt.Fprintln(w, "# TYPE solverd_prediction_deviation_ratio_mean gauge")
-	for _, m := range []string{"throughput", "cycle_time"} {
+	p.Family("solverd_prediction_deviation_ratio_mean", "gauge", "Mean deviation ratio over all observations per metric.")
+	for _, m := range metrics {
 		mean := 0.0
 		if d.n[m] > 0 {
 			mean = d.sum[m] / float64(d.n[m])
 		}
-		fmt.Fprintf(w, "solverd_prediction_deviation_ratio_mean{metric=%q} %g\n", m, mean)
+		p.Float("solverd_prediction_deviation_ratio_mean", mean, "metric", m)
 	}
-	fmt.Fprintln(w, "# HELP solverd_prediction_deviation_exceeded_total Observations that breached the paper's deviation bounds.")
-	fmt.Fprintln(w, "# TYPE solverd_prediction_deviation_exceeded_total counter")
-	for _, m := range []string{"throughput", "cycle_time"} {
-		fmt.Fprintf(w, "solverd_prediction_deviation_exceeded_total{metric=%q} %d\n", m, d.exceeded[m])
+	p.Family("solverd_prediction_deviation_exceeded_total", "counter", "Observations that breached the paper's deviation bounds.")
+	for _, m := range metrics {
+		p.Int("solverd_prediction_deviation_exceeded_total", int64(d.exceeded[m]), "metric", m)
 	}
 	// The alertable breach counter: one series per validation bound, both
 	// always exposed so alert rules never see a vanishing series.
-	fmt.Fprintln(w, "# HELP solverd_monitor_deviation_breaches_total Deviation-bound breaches by the bound breached (throughput: 3%, cycle_time: 9%).")
-	fmt.Fprintln(w, "# TYPE solverd_monitor_deviation_breaches_total counter")
-	for _, m := range []string{"throughput", "cycle_time"} {
-		fmt.Fprintf(w, "solverd_monitor_deviation_breaches_total{bound=%q} %d\n", m, d.exceeded[m])
+	p.Family("solverd_monitor_deviation_breaches_total", "counter", "Deviation-bound breaches by the bound breached (throughput: 3%, cycle_time: 9%).")
+	for _, m := range metrics {
+		p.Int("solverd_monitor_deviation_breaches_total", int64(d.exceeded[m]), "bound", m)
 	}
-	_, err := fmt.Fprintln(w)
-	return err
+	p.Blank()
+	return p.Err()
 }

@@ -46,7 +46,8 @@ type Family struct {
 
 // ParseExposition parses a text exposition into its families. Histogram
 // _bucket/_sum/_count series are folded into their base family. Any line the
-// strict grammar rejects fails the test.
+// strict grammar rejects, and a second HELP or TYPE line for one family,
+// fails the test.
 func ParseExposition(t *testing.T, body string) map[string]*Family {
 	t.Helper()
 	families := make(map[string]*Family)
@@ -70,25 +71,28 @@ func ParseExposition(t *testing.T, body string) map[string]*Family {
 		}
 		return name
 	}
+	seen := make(map[string]bool) // "HELP name" / "TYPE name" lines so far
 	for _, line := range strings.Split(body, "\n") {
 		if line == "" {
 			continue
 		}
-		if rest, ok := strings.CutPrefix(line, "# HELP "); ok {
-			name, help, found := strings.Cut(rest, " ")
-			if !found {
-				t.Fatalf("HELP line without text: %q", line)
+		if meta, ok := strings.CutPrefix(line, "# "); ok {
+			if keyword, rest, _ := strings.Cut(meta, " "); keyword == "HELP" || keyword == "TYPE" {
+				name, text, found := strings.Cut(rest, " ")
+				if !found {
+					t.Fatalf("%s line without text: %q", keyword, line)
+				}
+				if seen[keyword+" "+name] {
+					t.Fatalf("repeated %s line for family %q", keyword, name)
+				}
+				seen[keyword+" "+name] = true
+				if keyword == "HELP" {
+					get(name).Help = text
+				} else {
+					get(name).Type = text
+				}
+				continue
 			}
-			get(name).Help = help
-			continue
-		}
-		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
-			name, typ, found := strings.Cut(rest, " ")
-			if !found {
-				t.Fatalf("TYPE line without a type: %q", line)
-			}
-			get(name).Type = typ
-			continue
 		}
 		if strings.HasPrefix(line, "#") {
 			continue // comment
@@ -112,40 +116,9 @@ func parseSampleLine(line string) (Sample, error) {
 	s.Name = line[:i]
 	rest := line[i:]
 	if rest[0] == '{' {
-		end := -1
-		inQuotes := false
-		for j := 1; j < len(rest); j++ {
-			switch rest[j] {
-			case '\\':
-				j++ // skip the escaped byte
-			case '"':
-				inQuotes = !inQuotes
-			case '}':
-				if !inQuotes {
-					end = j
-				}
-			}
-			if end >= 0 {
-				break
-			}
-		}
-		if end < 0 {
-			return s, fmt.Errorf("unterminated label set")
-		}
-		labels := rest[1:end]
-		rest = rest[end+1:]
-		for len(labels) > 0 {
-			eq := strings.Index(labels, "=")
-			if eq < 0 {
-				return s, fmt.Errorf("label without =")
-			}
-			name := labels[:eq]
-			q, tail, err := cutQuoted(labels[eq+1:])
-			if err != nil {
-				return s, err
-			}
-			s.Labels = append(s.Labels, Label{Name: name, Value: q})
-			labels = strings.TrimPrefix(tail, ",")
+		var err error
+		if s.Labels, rest, err = cutLabelSet(rest); err != nil {
+			return s, err
 		}
 	}
 	// An exemplar rides after the value as ` # {labels} value [timestamp]`
@@ -171,26 +144,16 @@ func checkExemplar(ex string) error {
 	if len(ex) == 0 || ex[0] != '{' {
 		return fmt.Errorf("exemplar without label set: %q", ex)
 	}
-	end := strings.Index(ex, "}")
-	if end < 0 {
-		return fmt.Errorf("unterminated exemplar label set: %q", ex)
+	labels, rest, err := cutLabelSet(ex)
+	if err != nil {
+		return err
 	}
-	labels := ex[1:end]
-	for len(labels) > 0 {
-		eq := strings.Index(labels, "=")
-		if eq < 0 {
-			return fmt.Errorf("exemplar label without =: %q", ex)
+	for _, l := range labels {
+		if !labelNameRe.MatchString(l.Name) {
+			return fmt.Errorf("illegal exemplar label name %q", l.Name)
 		}
-		if !labelNameRe.MatchString(labels[:eq]) {
-			return fmt.Errorf("illegal exemplar label name %q", labels[:eq])
-		}
-		_, tail, err := cutQuoted(labels[eq+1:])
-		if err != nil {
-			return err
-		}
-		labels = strings.TrimPrefix(tail, ",")
 	}
-	fields := strings.Fields(ex[end+1:])
+	fields := strings.Fields(rest)
 	if len(fields) < 1 || len(fields) > 2 {
 		return fmt.Errorf("exemplar needs a value and optional timestamp: %q", ex)
 	}
@@ -202,18 +165,51 @@ func checkExemplar(ex string) error {
 	return nil
 }
 
-// cutQuoted splits a leading Go-quoted string off s.
+// cutLabelSet splits a leading {name="value",...} set off s.
+func cutLabelSet(s string) (labels []Label, rest string, err error) {
+	rest = s[1:]
+	for !strings.HasPrefix(rest, "}") {
+		name, tail, found := strings.Cut(rest, "=")
+		if !found {
+			return nil, "", fmt.Errorf("unterminated label set: %q", s)
+		}
+		value, tail, err := cutQuoted(tail)
+		if err != nil {
+			return nil, "", err
+		}
+		labels = append(labels, Label{Name: name, Value: value})
+		rest = strings.TrimPrefix(tail, ",")
+	}
+	return labels, rest[1:], nil
+}
+
+// cutQuoted splits a leading quoted label value off s and unescapes it. The
+// text format knows exactly three escapes — \\, \" and \n — so any other
+// (Go's \t or \x00, say) is an error: Prometheus rejects the whole scrape.
 func cutQuoted(s string) (value, rest string, err error) {
 	if len(s) == 0 || s[0] != '"' {
 		return "", "", fmt.Errorf("label value not quoted: %q", s)
 	}
+	var v strings.Builder
 	for j := 1; j < len(s); j++ {
-		switch s[j] {
+		switch c := s[j]; c {
 		case '\\':
 			j++
+			if j == len(s) {
+				break // a trailing backslash: unterminated
+			}
+			switch s[j] {
+			case '\\', '"':
+				v.WriteByte(s[j])
+			case 'n':
+				v.WriteByte('\n')
+			default:
+				return "", "", fmt.Errorf("illegal escape \\%c in label value %q", s[j], s)
+			}
 		case '"':
-			v, err := strconv.Unquote(s[:j+1])
-			return v, s[j+1:], err
+			return v.String(), s[j+1:], nil
+		default:
+			v.WriteByte(c)
 		}
 	}
 	return "", "", fmt.Errorf("unterminated quoted value: %q", s)

@@ -2,7 +2,6 @@ package report
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"sort"
 )
@@ -144,50 +143,7 @@ func (h *FixedHistogram) Quantile(q float64) float64 {
 	return h.bounds[len(h.bounds)-1]
 }
 
-// WritePrometheus renders the histogram as Prometheus-text `_bucket`, `_sum`
-// and `_count` lines for the given metric name, with an optional pre-rendered
-// label set like `handler="solve"` spliced alongside the `le` label.
-func (h *FixedHistogram) WritePrometheus(w io.Writer, name, labels string) error {
-	return h.writePrometheus(w, name, labels, false)
-}
-
-// WritePrometheusExemplars is WritePrometheus with each bucket's most
-// recent traced observation appended in the OpenMetrics exemplar syntax:
-//
-//	name_bucket{le="0.5"} 7 # {trace_id="…"} 0.41 1700000000.123
-//
-// Buckets without an exemplar render exactly as WritePrometheus does.
-func (h *FixedHistogram) WritePrometheusExemplars(w io.Writer, name, labels string) error {
-	return h.writePrometheus(w, name, labels, true)
-}
-
-func (h *FixedHistogram) writePrometheus(w io.Writer, name, labels string, withExemplars bool) error {
-	bounds, counts := h.Cumulative()
-	for i, b := range bounds {
-		le := "+Inf"
-		if !math.IsInf(b, 1) {
-			le = fmt.Sprintf("%g", b)
-		}
-		sep := ""
-		if labels != "" {
-			sep = ","
-		}
-		ex := ""
-		if withExemplars && i < len(h.exemplars) && h.exemplars[i].TraceID != "" {
-			e := h.exemplars[i]
-			ex = fmt.Sprintf(" # {trace_id=%q} %g %.3f", e.TraceID, e.Value, e.UnixSeconds)
-		}
-		if _, err := fmt.Fprintf(w, "%s_bucket{%s%sle=%q} %d%s\n", name, labels, sep, le, counts[i], ex); err != nil {
-			return err
-		}
-	}
-	lb := ""
-	if labels != "" {
-		lb = "{" + labels + "}"
-	}
-	if _, err := fmt.Fprintf(w, "%s_sum%s %g\n", name, lb, h.sum); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s_count%s %d\n", name, lb, h.count)
-	return err
-}
+// Exemplars returns each bucket's most recent traced observation, indexed
+// like Cumulative's buckets (a zero TraceID marks a bucket without one); nil
+// before the first ObserveWithExemplar.
+func (h *FixedHistogram) Exemplars() []Exemplar { return h.exemplars }

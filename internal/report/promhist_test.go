@@ -2,7 +2,6 @@ package report
 
 import (
 	"math"
-	"strings"
 	"testing"
 )
 
@@ -59,35 +58,5 @@ func TestFixedHistogramQuantile(t *testing.T) {
 	empty, _ := NewFixedHistogram(1)
 	if !math.IsNaN(empty.Quantile(0.5)) {
 		t.Error("empty histogram produced a quantile")
-	}
-}
-
-func TestFixedHistogramWritePrometheus(t *testing.T) {
-	h, _ := NewFixedHistogram(0.1, 1)
-	h.Observe(0.05)
-	h.Observe(5)
-	var b strings.Builder
-	if err := h.WritePrometheus(&b, "x_seconds", `handler="solve"`); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{
-		`x_seconds_bucket{handler="solve",le="0.1"} 1`,
-		`x_seconds_bucket{handler="solve",le="1"} 1`,
-		`x_seconds_bucket{handler="solve",le="+Inf"} 2`,
-		`x_seconds_sum{handler="solve"} 5.05`,
-		`x_seconds_count{handler="solve"} 2`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("missing %q in:\n%s", want, out)
-		}
-	}
-
-	var nb strings.Builder
-	if err := h.WritePrometheus(&nb, "y_seconds", ""); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(nb.String(), `y_seconds_bucket{le="+Inf"} 2`) {
-		t.Errorf("label-free rendering broken:\n%s", nb.String())
 	}
 }

@@ -1,21 +1,11 @@
 package selfmodel
 
 import (
-	"fmt"
 	"io"
 
+	"repro/internal/prom"
 	"repro/internal/report"
 )
-
-// zeroHist renders the latency histogram's stable schema before any monitor
-// exists (the nil-receiver scrape path).
-var zeroHist = func() *report.FixedHistogram {
-	h, err := report.NewFixedHistogram(report.DefaultLatencyBounds()...)
-	if err != nil {
-		panic(err)
-	}
-	return h
-}()
 
 // WriteMetrics renders the self-model in Prometheus text format. Every
 // solverd_self_* family is emitted from the first scrape — zero-valued until
@@ -25,7 +15,7 @@ var zeroHist = func() *report.FixedHistogram {
 func (m *Monitor) WriteMetrics(w io.Writer) error {
 	var (
 		rep      *Report
-		hist     = zeroHist
+		hist     *report.FixedHistogram
 		inFlight int
 		sampled  uint64
 	)
@@ -36,6 +26,8 @@ func (m *Monitor) WriteMetrics(w io.Writer) error {
 		sampled = m.totalCompletions
 		m.mu.Unlock()
 		rep = m.rep.Load()
+	} else {
+		hist, _ = report.NewFixedHistogram(report.DefaultLatencyBounds()...)
 	}
 	if rep == nil {
 		rep = &Report{}
@@ -46,96 +38,52 @@ func (m *Monitor) WriteMetrics(w io.Writer) error {
 		devRatio[d.Metric] = d.Ratio
 		devBreaches[d.Metric] = d.Breaches
 	}
-	b01 := func(v bool) int {
+	b01 := func(v bool) int64 {
 		if v {
 			return 1
 		}
 		return 0
 	}
 
-	fmt.Fprintln(w, "# HELP solverd_self_windows_total Self-model sampling windows closed.")
-	fmt.Fprintln(w, "# TYPE solverd_self_windows_total counter")
-	fmt.Fprintf(w, "solverd_self_windows_total %d\n", rep.Windows)
-	fmt.Fprintln(w, "# HELP solverd_self_empty_windows_total Windows closed with no completed sampled requests.")
-	fmt.Fprintln(w, "# TYPE solverd_self_empty_windows_total counter")
-	fmt.Fprintf(w, "solverd_self_empty_windows_total %d\n", rep.EmptyWindows)
-	fmt.Fprintln(w, "# HELP solverd_self_sampled_requests_total Requests the self-model has sampled to completion.")
-	fmt.Fprintln(w, "# TYPE solverd_self_sampled_requests_total counter")
+	p := prom.NewWriter(w)
+	p.Counter("solverd_self_windows_total", "Self-model sampling windows closed.", rep.Windows)
+	p.Counter("solverd_self_empty_windows_total", "Windows closed with no completed sampled requests.", rep.EmptyWindows)
 	// Read live, not from the published report: completions land here the
 	// moment a sampled request finishes, not at the next window close.
-	fmt.Fprintf(w, "solverd_self_sampled_requests_total %d\n", sampled)
-	fmt.Fprintln(w, "# HELP solverd_self_refits_total Deviation-breach-triggered self-model re-fits.")
-	fmt.Fprintln(w, "# TYPE solverd_self_refits_total counter")
-	fmt.Fprintf(w, "solverd_self_refits_total %d\n", rep.Refits)
-	fmt.Fprintln(w, "# HELP solverd_self_in_flight Sampled requests currently in flight.")
-	fmt.Fprintln(w, "# TYPE solverd_self_in_flight gauge")
-	fmt.Fprintf(w, "solverd_self_in_flight %d\n", inFlight)
-	fmt.Fprintln(w, "# HELP solverd_self_snapshot_version Version of the self-model demand snapshot the curve is solved from (0 before the first fit).")
-	fmt.Fprintln(w, "# TYPE solverd_self_snapshot_version gauge")
-	fmt.Fprintf(w, "solverd_self_snapshot_version %d\n", rep.SnapshotVersion)
+	p.Counter("solverd_self_sampled_requests_total", "Requests the self-model has sampled to completion.", sampled)
+	p.Counter("solverd_self_refits_total", "Deviation-breach-triggered self-model re-fits.", rep.Refits)
+	p.Gauge("solverd_self_in_flight", "Sampled requests currently in flight.", int64(inFlight))
+	p.Gauge("solverd_self_snapshot_version", "Version of the self-model demand snapshot the curve is solved from (0 before the first fit).", int64(rep.SnapshotVersion))
 
-	fmt.Fprintln(w, "# HELP solverd_self_observed_throughput Latest window's observed throughput (requests/s).")
-	fmt.Fprintln(w, "# TYPE solverd_self_observed_throughput gauge")
-	fmt.Fprintf(w, "solverd_self_observed_throughput %g\n", rep.ObservedX)
-	fmt.Fprintln(w, "# HELP solverd_self_predicted_throughput Self-model predicted throughput at the observed concurrency (requests/s).")
-	fmt.Fprintln(w, "# TYPE solverd_self_predicted_throughput gauge")
-	fmt.Fprintf(w, "solverd_self_predicted_throughput %g\n", rep.PredictedX)
-	fmt.Fprintln(w, "# HELP solverd_self_observed_p50_seconds Latest window's observed median request latency.")
-	fmt.Fprintln(w, "# TYPE solverd_self_observed_p50_seconds gauge")
-	fmt.Fprintf(w, "solverd_self_observed_p50_seconds %g\n", rep.ObservedP50)
-	fmt.Fprintln(w, "# HELP solverd_self_observed_p99_seconds Latest window's observed p99 request latency.")
-	fmt.Fprintln(w, "# TYPE solverd_self_observed_p99_seconds gauge")
-	fmt.Fprintf(w, "solverd_self_observed_p99_seconds %g\n", rep.ObservedP99)
-	fmt.Fprintln(w, "# HELP solverd_self_predicted_p50_seconds Self-model predicted median latency at the observed concurrency.")
-	fmt.Fprintln(w, "# TYPE solverd_self_predicted_p50_seconds gauge")
-	fmt.Fprintf(w, "solverd_self_predicted_p50_seconds %g\n", rep.PredictedP50)
-	fmt.Fprintln(w, "# HELP solverd_self_predicted_p99_seconds Self-model predicted p99 latency at the observed concurrency.")
-	fmt.Fprintln(w, "# TYPE solverd_self_predicted_p99_seconds gauge")
-	fmt.Fprintf(w, "solverd_self_predicted_p99_seconds %g\n", rep.PredictedP99)
+	p.GaugeFloat("solverd_self_observed_throughput", "Latest window's observed throughput (requests/s).", rep.ObservedX)
+	p.GaugeFloat("solverd_self_predicted_throughput", "Self-model predicted throughput at the observed concurrency (requests/s).", rep.PredictedX)
+	p.GaugeFloat("solverd_self_observed_p50_seconds", "Latest window's observed median request latency.", rep.ObservedP50)
+	p.GaugeFloat("solverd_self_observed_p99_seconds", "Latest window's observed p99 request latency.", rep.ObservedP99)
+	p.GaugeFloat("solverd_self_predicted_p50_seconds", "Self-model predicted median latency at the observed concurrency.", rep.PredictedP50)
+	p.GaugeFloat("solverd_self_predicted_p99_seconds", "Self-model predicted p99 latency at the observed concurrency.", rep.PredictedP99)
 
-	fmt.Fprintln(w, "# HELP solverd_self_saturated Whether the predicted curve reaches the saturation knee inside the solved range (0/1).")
-	fmt.Fprintln(w, "# TYPE solverd_self_saturated gauge")
-	fmt.Fprintf(w, "solverd_self_saturated %d\n", b01(rep.Saturated))
-	fmt.Fprintln(w, "# HELP solverd_self_knee_concurrency Predicted saturation knee: first concurrency at the worker-utilization threshold (0 until saturated).")
-	fmt.Fprintln(w, "# TYPE solverd_self_knee_concurrency gauge")
-	fmt.Fprintf(w, "solverd_self_knee_concurrency %d\n", rep.KneeN)
-	fmt.Fprintln(w, "# HELP solverd_self_p99_limit_concurrency Largest concurrency whose predicted p99 honors the configured bound (0 without a bound).")
-	fmt.Fprintln(w, "# TYPE solverd_self_p99_limit_concurrency gauge")
-	fmt.Fprintf(w, "solverd_self_p99_limit_concurrency %d\n", rep.P99LimitN)
-	fmt.Fprintln(w, "# HELP solverd_self_max_safe_concurrency Predicted max concurrency before saturation and the p99 bound.")
-	fmt.Fprintln(w, "# TYPE solverd_self_max_safe_concurrency gauge")
-	fmt.Fprintf(w, "solverd_self_max_safe_concurrency %d\n", rep.MaxSafeN)
-	fmt.Fprintln(w, "# HELP solverd_self_headroom Predicted max safe concurrency minus current in-flight (negative past saturation).")
-	fmt.Fprintln(w, "# TYPE solverd_self_headroom gauge")
-	fmt.Fprintf(w, "solverd_self_headroom %d\n", rep.MaxSafeN-inFlight)
-	fmt.Fprintln(w, "# HELP solverd_self_shed_advised Advisory shed signal: the node predicts it is at or past its safe concurrency (0/1; acted on by the admission gate in enforce mode).")
-	fmt.Fprintln(w, "# TYPE solverd_self_shed_advised gauge")
-	fmt.Fprintf(w, "solverd_self_shed_advised %d\n", b01(rep.Ready && rep.MaxSafeN-inFlight <= 0))
+	p.Gauge("solverd_self_saturated", "Whether the predicted curve reaches the saturation knee inside the solved range (0/1).", b01(rep.Saturated))
+	p.Gauge("solverd_self_knee_concurrency", "Predicted saturation knee: first concurrency at the worker-utilization threshold (0 until saturated).", int64(rep.KneeN))
+	p.Gauge("solverd_self_p99_limit_concurrency", "Largest concurrency whose predicted p99 honors the configured bound (0 without a bound).", int64(rep.P99LimitN))
+	p.Gauge("solverd_self_max_safe_concurrency", "Predicted max concurrency before saturation and the p99 bound.", int64(rep.MaxSafeN))
+	p.Gauge("solverd_self_headroom", "Predicted max safe concurrency minus current in-flight (negative past saturation).", int64(rep.MaxSafeN-inFlight))
+	p.Gauge("solverd_self_shed_advised", "Advisory shed signal: the node predicts it is at or past its safe concurrency (0/1; acted on by the admission gate in enforce mode).", b01(rep.Ready && rep.MaxSafeN-inFlight <= 0))
 
-	fmt.Fprintln(w, "# HELP solverd_self_deviation_ratio Latest |observed-predicted|/observed per self-model metric.")
-	fmt.Fprintln(w, "# TYPE solverd_self_deviation_ratio gauge")
+	p.Family("solverd_self_deviation_ratio", "gauge", "Latest |observed-predicted|/observed per self-model metric.")
 	for _, metric := range DeviationMetrics {
-		fmt.Fprintf(w, "solverd_self_deviation_ratio{metric=%q} %g\n", metric, devRatio[metric])
+		p.Float("solverd_self_deviation_ratio", devRatio[metric], "metric", metric)
 	}
-	fmt.Fprintln(w, "# HELP solverd_self_deviation_breaches_total Windows whose self-model deviation exceeded the paper's bound, per metric.")
-	fmt.Fprintln(w, "# TYPE solverd_self_deviation_breaches_total counter")
+	p.Family("solverd_self_deviation_breaches_total", "counter", "Windows whose self-model deviation exceeded the paper's bound, per metric.")
 	for _, metric := range DeviationMetrics {
-		fmt.Fprintf(w, "solverd_self_deviation_breaches_total{metric=%q} %d\n", metric, devBreaches[metric])
+		p.Uint("solverd_self_deviation_breaches_total", devBreaches[metric], "metric", metric)
 	}
 
-	fmt.Fprintln(w, "# HELP solverd_self_request_seconds Sampled request wall time observed by the self-model.")
-	fmt.Fprintln(w, "# TYPE solverd_self_request_seconds histogram")
-	var err error
+	p.Family("solverd_self_request_seconds", "histogram", "Sampled request wall time observed by the self-model.")
 	if m != nil {
-		m.mu.Lock()
-		err = hist.WritePrometheus(w, "solverd_self_request_seconds", "")
-		m.mu.Unlock()
-	} else {
-		err = hist.WritePrometheus(w, "solverd_self_request_seconds", "")
+		m.mu.Lock() // guards latHist
+		defer m.mu.Unlock()
 	}
-	if err != nil {
-		return err
-	}
-	_, err = fmt.Fprintln(w)
-	return err
+	p.Histogram("solverd_self_request_seconds", hist, false)
+	p.Blank()
+	return p.Err()
 }

@@ -225,11 +225,11 @@ func (s *Server) ExportCached(ctx context.Context, key string) (*core.Result, *c
 	return s.cache.export(ctx, key)
 }
 
-// RegisterMetrics adds a Prometheus-text section rendered after the server's
-// own metrics on /metrics (used by the cluster gateway). Safe to call while
-// serving.
+// RegisterMetrics adds a Prometheus-text section rendered on /metrics after
+// every section registered before it (the cluster gateway's comes last).
+// Safe to call while serving.
 func (s *Server) RegisterMetrics(write func(w io.Writer) error) {
-	s.extraMu.Lock()
-	defer s.extraMu.Unlock()
-	s.extraMetrics = append(s.extraMetrics, write)
+	s.sectionsMu.Lock()
+	defer s.sectionsMu.Unlock()
+	s.metricSections = append(s.metricSections, write)
 }

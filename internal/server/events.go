@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 	"net/http"
-	"strconv"
 	"strings"
 
 	"repro/internal/journal"
@@ -31,27 +30,10 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusNotFound, "event journal disabled")
 		return
 	}
-	q := r.URL.Query()
-	f := journal.Filter{Type: q.Get("type"), TraceID: q.Get("trace")}
-	if f.Type != "" && !journal.KnownType(f.Type) {
-		s.writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown event type %q", f.Type))
+	f, err := journal.ParseFilter(r.URL.Query())
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, err.Error())
 		return
-	}
-	if v := q.Get("since"); v != "" {
-		since, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			s.writeError(w, http.StatusBadRequest, fmt.Sprintf("bad since %q", v))
-			return
-		}
-		f.SinceSeq = since
-	}
-	if v := q.Get("limit"); v != "" {
-		limit, err := strconv.Atoi(v)
-		if err != nil || limit < 0 {
-			s.writeError(w, http.StatusBadRequest, fmt.Sprintf("bad limit %q", v))
-			return
-		}
-		f.Limit = limit
 	}
 	s.writeJSON(w, http.StatusOK, EventsResponse{
 		Node:   jn.Node(),

@@ -460,22 +460,17 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintln(w, "ok")
 }
 
-// handleMetrics serves GET /metrics in the Prometheus text format: the
-// server's own series first, then any registered extra sections (the cluster
-// gateway's ring/peer/forwarding series).
+// handleMetrics serves GET /metrics in the Prometheus text format: every
+// registered section in order, the server's own series first.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := s.metrics.writePrometheus(w, s.cache.len(), s.inflight.snapshot()); err != nil {
-		s.cfg.Logger.Error("solverd: writing metrics", "error", err)
-		return
-	}
-	s.extraMu.Lock()
-	extras := make([]func(w io.Writer) error, len(s.extraMetrics))
-	copy(extras, s.extraMetrics)
-	s.extraMu.Unlock()
-	for _, write := range extras {
+	s.sectionsMu.Lock()
+	sections := make([]func(w io.Writer) error, len(s.metricSections))
+	copy(sections, s.metricSections)
+	s.sectionsMu.Unlock()
+	for _, write := range sections {
 		if err := write(w); err != nil {
-			s.cfg.Logger.Error("solverd: writing extra metrics", "error", err)
+			s.cfg.Logger.Error("solverd: writing metrics", "error", err)
 			return
 		}
 	}

@@ -169,3 +169,24 @@ func TestPrometheusExpositionLint(t *testing.T) {
 		t.Errorf("self request histogram count = %g, want >= 4", c)
 	}
 }
+
+// TestMetricsEscapeLabelValues registers a model whose station name holds a
+// tab, then lints /metrics. The text format has no \t escape, so the tab must
+// go out raw: a Go-quoted `station="web\tcpu"` fails the whole scrape.
+func TestMetricsEscapeLabelValues(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	m := estTestModel()
+	m.Stations[0].Name = "web\tcpu"
+	postObserve(t, ts, observeBody(t, m, estTruth(1), 2, true, 0))
+
+	_, body := getBody(t, ts.URL+"/metrics")
+	families := promtest.ParseExposition(t, body)
+	promtest.LintFamilies(t, families)
+	found := false
+	for _, s := range families["solverd_estimate_samples_total"].Samples {
+		found = found || s.Label("station") == "web\tcpu"
+	}
+	if !found {
+		t.Errorf("no solverd_estimate_samples_total series for the tab-named station:\n%s", body)
+	}
+}

@@ -168,9 +168,9 @@ type Server struct {
 	// filler is the cluster's peer cache fill hook (SetPeerFiller).
 	filler atomic.Pointer[peerFillerRef]
 
-	// extraMetrics are additional Prometheus sections (RegisterMetrics).
-	extraMu      sync.Mutex
-	extraMetrics []func(w io.Writer) error
+	// metricSections render /metrics in registration order (RegisterMetrics).
+	sectionsMu     sync.Mutex
+	metricSections []func(w io.Writer) error
 
 	// testHookSolveStart, when set, runs at the start of every solver
 	// execution with the request context — tests use it to hold solves
@@ -224,12 +224,8 @@ func New(cfg Config) *Server {
 	s.mux.Handle("/debug/events", s.instrument("events", http.MethodGet, s.handleEvents))
 	s.mux.Handle("/debug/profiles", s.instrument("profiles", http.MethodGet, s.handleProfileIndex))
 	s.mux.Handle("/debug/profiles/", s.instrument("profile", http.MethodGet, s.handleProfileGet))
-	if cfg.Recorder != nil {
-		s.RegisterMetrics(func(w io.Writer) error {
-			cfg.Recorder.WriteMetrics(w)
-			return nil
-		})
-	}
+	s.RegisterMetrics(s.writeMetrics)
+	s.RegisterMetrics(cfg.Recorder.WriteMetrics) // nil recorder: no section
 	// Deviation and estimation families are registered unconditionally: the
 	// nil-safe writers expose every family (at zero) before any estimator or
 	// observation exists, so scrapes see stable schemas.

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/modelio"
 	"repro/internal/telemetry"
@@ -78,6 +79,9 @@ func TestTracedSolveRequest(t *testing.T) {
 		t.Errorf("Server-Timing = %q, want cache and solve phases", st)
 	}
 
+	// The middleware writes the access-log line after the response reaches
+	// the client, so wait (bounded) for it before reading the log.
+	awaitLog(logBuf, "msg=request", 1)
 	logs := logBuf.String()
 	if got := strings.Count(logs, "msg=request"); got != 1 {
 		t.Errorf("access log lines = %d, want 1; logs:\n%s", got, logs)
@@ -115,6 +119,7 @@ func TestTracedSolveRequest(t *testing.T) {
 	if !strings.Contains(st, "cache;dur=") || strings.Contains(st, "solve;dur=") {
 		t.Errorf("hit Server-Timing = %q, want cache phase only", st)
 	}
+	awaitLog(logBuf, "msg=request", 2)
 	if !strings.Contains(logBuf.String(), "cache=hit") {
 		t.Errorf("hit outcome missing from access log:\n%s", logBuf.String())
 	}
@@ -122,8 +127,18 @@ func TestTracedSolveRequest(t *testing.T) {
 	// Larger population on the same model: an in-place extension.
 	postJSONWithHeader(t, ts.URL+"/v1/solve", "trace-test-0003",
 		modelio.SolveRequest{Model: testModel(), MaxN: 80})
+	awaitLog(logBuf, "msg=request", 3)
 	if !strings.Contains(logBuf.String(), "cache=extend") {
 		t.Errorf("extend outcome missing from access log:\n%s", logBuf.String())
+	}
+}
+
+// awaitLog waits up to 5 s until buf holds at least n lines containing substr.
+func awaitLog(buf *syncBuffer, substr string, n int) {
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if strings.Count(buf.String(), substr) >= n {
+			return
+		}
 	}
 }
 
