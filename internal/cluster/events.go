@@ -35,12 +35,12 @@ type FleetEvents struct {
 // merged result, so filters behave identically fleet-wide.
 func (g *Gateway) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if !g.trustedHop(r) {
-		g.writeError(w, http.StatusForbidden, "cluster secret required")
+		g.local.WriteError(w, http.StatusForbidden, "cluster secret required")
 		return
 	}
 	f, err := journal.ParseFilter(r.URL.Query())
 	if err != nil {
-		g.writeError(w, http.StatusBadRequest, err.Error())
+		g.local.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	path := "/debug/events"
@@ -69,7 +69,7 @@ func (g *Gateway) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if f.Limit > 0 && len(out.Events) > f.Limit {
 		out.Events = out.Events[len(out.Events)-f.Limit:]
 	}
-	g.writeJSON(w, http.StatusOK, out)
+	g.local.WriteJSON(w, http.StatusOK, out)
 }
 
 // mergeTimelines k-way merges per-node event slices (each ascending in that

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/journal"
+	"repro/internal/modelio"
 )
 
 // solveCache is the prefix-reusing LRU solve cache. Entries are keyed by the
@@ -57,6 +58,43 @@ type cacheEntry struct {
 	// solver's scratch on their way out and lock waiters retry on a fresh
 	// entry.
 	evicted atomic.Bool
+
+	// text is the published trajectory's n/x/r/cycle series preformatted as
+	// JSON, built on the entry's first dense hit and extended when a later
+	// hit needs rows the entry has grown past (see textFor). Like traj it is
+	// an immutable snapshot readers load without locking; textMu serializes
+	// only the builders. It lives and dies with the entry: LRU eviction,
+	// remove and estimate invalidation drop both.
+	text   atomic.Pointer[modelio.TrajectoryText]
+	textMu sync.Mutex
+}
+
+// textFor returns the entry's text columns covering at least rows rows,
+// building or extending them from the published trajectory. nil when the
+// entry is not dense from population 1 (decimated entries serve skipped and
+// recovered rows the columns cannot hold), was evicted, or the rows hold a
+// value encoding/json refuses; the caller then formats the view itself.
+func (e *cacheEntry) textFor(rows int) *modelio.TrajectoryText {
+	if t := e.text.Load(); t.Rows() >= rows {
+		return t
+	}
+	traj := e.traj.Load()
+	if traj == nil || traj.Stride() != 1 || traj.BasePop() != 0 || e.evicted.Load() {
+		return nil // an evicted entry sees no more hits: don't build for the GC
+	}
+	e.textMu.Lock()
+	defer e.textMu.Unlock()
+	t := e.text.Load()
+	if t.Rows() < rows {
+		// Extend to everything published, not just rows: one build serves
+		// every smaller maxN that follows.
+		t = t.Extend(e.traj.Load())
+		e.text.Store(t)
+	}
+	if t.Rows() < rows {
+		return nil
+	}
+	return t
 }
 
 func newSolveCache(max int) *solveCache {
@@ -265,9 +303,10 @@ func (c *solveCache) do(ctx context.Context, key string, maxN int,
 
 // peek answers maxN from key's published snapshot without taking the entry
 // lock: the fast path solveWithKey consults before the coalescer, so plain
-// prefix hits never join a flight. Misses (unknown key, insufficient
-// coverage) report ok=false and the caller proceeds to do.
-func (c *solveCache) peek(key string, maxN int) (*core.Result, bool) {
+// prefix hits never join a flight. It also returns the entry, whose text
+// columns can encode the hit. Misses (unknown key, insufficient coverage)
+// report ok=false and the caller proceeds to do.
+func (c *solveCache) peek(key string, maxN int) (*core.Result, *cacheEntry, bool) {
 	c.mu.Lock()
 	e, ok := c.items[key]
 	if ok {
@@ -278,14 +317,14 @@ func (c *solveCache) peek(key string, maxN int) (*core.Result, bool) {
 	}
 	c.mu.Unlock()
 	if !ok {
-		return nil, false
+		return nil, nil, false
 	}
 	if t := e.traj.Load(); t != nil && t.SolvedN() >= maxN {
 		if res, err := t.PrefixPop(maxN); err == nil {
-			return res, true
+			return res, e, true
 		}
 	}
-	return nil, false
+	return nil, nil, false
 }
 
 // export returns key's cached trajectory prefix plus its recursion

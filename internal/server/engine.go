@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net/http"
 	"sync"
 	"time"
 
@@ -95,35 +96,127 @@ func (s *Server) checkMaxN(maxN, stride int) error {
 	return nil
 }
 
-// Solve answers one normalized solve request through the cache, in-flight
-// dedup and worker pool — the engine behind POST /v1/solve. The caller must
-// have called req.Normalize and should bound ctx with SolveContext.
-func (s *Server) Solve(ctx context.Context, req *modelio.SolveRequest) (*modelio.SolveResponse, error) {
+// solved is one answered solve request: the result view through maxN plus
+// what the response needs to say about it.
+type solved struct {
+	res *core.Result
+	// entry is the cache entry a lock-free prefix hit was served from, whose
+	// text columns can encode res; nil for misses, extends and coalesced
+	// waits.
+	entry *cacheEntry
+	hit   bool
+	// recovered is the row at exactly maxN when a decimated entry skipped
+	// it, re-derived from the nearest stored checkpoint; it becomes the
+	// response's final row.
+	recovered *core.RecoveredRow
+	start     time.Time
+}
+
+// solve runs one normalized solve request through the cache, in-flight
+// dedup and worker pool.
+func (s *Server) solve(ctx context.Context, req *modelio.SolveRequest) (*solved, error) {
 	if err := s.checkMaxN(req.MaxN, req.Decimate); err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	res, hit, err := s.solveCached(ctx, req)
+	out := &solved{start: time.Now()}
+	key, err := req.CacheKey()
 	if err != nil {
 		return nil, err
 	}
-	traj := modelio.NewTrajectory(res, req.Every)
-	if res.IndexOf(req.MaxN) < 0 {
+	if out.res, out.entry, out.hit, err = s.solveWithKey(ctx, key, req); err != nil {
+		return nil, err
+	}
+	if out.res.IndexOf(req.MaxN) < 0 {
 		// A decimated cache entry solved deeper than this request stores no
 		// row at exactly maxN; re-derive it from the nearest stored
 		// checkpoint (≤ stride dense steps) so the response's final row is
 		// the population the client asked for.
-		rows, err := res.Recover([]int{req.MaxN}, recoverFactory(req))
+		rows, err := out.res.Recover([]int{req.MaxN}, recoverFactory(req))
 		if err != nil {
 			return nil, err
 		}
-		traj.AppendRecovered(rows[0])
+		out.recovered = &rows[0]
 	}
-	return &modelio.SolveResponse{
-		Cached:     hit,
-		ElapsedMS:  float64(time.Since(start)) / float64(time.Millisecond),
-		Trajectory: traj,
-	}, nil
+	return out, nil
+}
+
+func (o *solved) elapsedMS() float64 {
+	return float64(time.Since(o.start)) / float64(time.Millisecond)
+}
+
+// response builds the wire response, thinned to every every-th row.
+func (o *solved) response(every int) *modelio.SolveResponse {
+	traj := modelio.NewTrajectory(o.res, every)
+	if o.recovered != nil {
+		traj.AppendRecovered(*o.recovered)
+	}
+	return &modelio.SolveResponse{Cached: o.hit, ElapsedMS: o.elapsedMS(), Trajectory: traj}
+}
+
+// appendResponse appends the response's JSON, byte-identical to encoding
+// response(every) with encoding/json. A full-resolution answer is encoded
+// straight from the result view; a lock-free hit on a dense entry copies the
+// entry's preformatted text columns instead of formatting its floats.
+func (o *solved) appendResponse(dst []byte, every int) ([]byte, error) {
+	if every > 1 || o.recovered != nil {
+		return modelio.AppendSolveResponse(dst, o.response(every))
+	}
+	var text *modelio.TrajectoryText
+	if o.entry != nil {
+		text = o.entry.textFor(o.res.Len())
+	}
+	return modelio.AppendSolveResult(dst, o.hit, o.elapsedMS(), o.res, text)
+}
+
+// Solve answers one normalized solve request through the cache, in-flight
+// dedup and worker pool — the engine behind POST /v1/solve. The caller must
+// have called req.Normalize and should bound ctx with SolveContext.
+func (s *Server) Solve(ctx context.Context, req *modelio.SolveRequest) (*modelio.SolveResponse, error) {
+	out, err := s.solve(ctx, req)
+	if err != nil {
+		return nil, err
+	}
+	return out.response(req.Every), nil
+}
+
+// respBufs recycles response buffers across solve requests. Buffers past
+// maxPooledResp (a deep dense trajectory) are left to the GC rather than
+// pinned in the pool.
+var respBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledResp = 1 << 20
+
+// ServeSolve answers one normalized solve request on w — POST /v1/solve,
+// for the local handler and the cluster gateway alike. The response bytes
+// are exactly what encoding req's SolveResponse with encoding/json writes;
+// a failed solve becomes the JSON error body with statusOf's code. The
+// caller should bound ctx with SolveContext.
+func (s *Server) ServeSolve(ctx context.Context, w http.ResponseWriter, req *modelio.SolveRequest) {
+	out, err := s.solve(ctx, req)
+	if err != nil {
+		s.WriteError(w, statusOf(err), err.Error())
+		return
+	}
+	s.writeSolved(w, out, req.Every)
+}
+
+// writeSolved writes out's 200 response through a pooled buffer.
+func (s *Server) writeSolved(w http.ResponseWriter, out *solved, every int) {
+	bp := respBufs.Get().(*[]byte)
+	b, err := out.appendResponse((*bp)[:0], every)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	// As WriteJSON: an encoding error leaves the 200 with an empty body.
+	if err == nil {
+		_, err = w.Write(b)
+	}
+	if err != nil {
+		s.cfg.Logger.Error("solverd: writing response", "error", err)
+	}
+	if cap(b) <= maxPooledResp {
+		*bp = b[:0]
+		respBufs.Put(bp)
+	}
 }
 
 // SolveChunk solves populations (fromN, toN] of req's model as one chunk of

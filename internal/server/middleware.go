@@ -79,7 +79,7 @@ func (s *Server) instrument(name, method string, h http.HandlerFunc) http.Handle
 		}()
 		if r.Method != method {
 			rec.Header().Set("Allow", method)
-			s.writeError(rec, http.StatusMethodNotAllowed, "method "+r.Method+" not allowed")
+			s.WriteError(rec, http.StatusMethodNotAllowed, "method "+r.Method+" not allowed")
 			return
 		}
 		if selfSampledHandler(name) {
@@ -138,7 +138,7 @@ func (s *Server) WriteShed(w http.ResponseWriter, dec admission.Decision) {
 
 func writeShed(w http.ResponseWriter, dec admission.Decision, s *Server) {
 	w.Header().Set("Retry-After", strconv.Itoa(dec.RetryAfterSeconds()))
-	s.writeError(w, http.StatusTooManyRequests, fmt.Sprintf(
+	s.WriteError(w, http.StatusTooManyRequests, fmt.Sprintf(
 		"node past predicted safe concurrency (%d in flight, max safe %d); retry after %ds",
 		dec.InFlight, dec.MaxSafeN, dec.RetryAfterSeconds()))
 }
@@ -189,8 +189,9 @@ func (s *Server) Instrument(name, method string, h http.HandlerFunc) http.Handle
 	return s.instrument(name, method, h)
 }
 
-// writeJSON writes v with the given status code.
-func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON writes v with the given status code — the one JSON response
+// writer of the node, shared with the cluster gateway.
+func (s *Server) WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	if err := json.NewEncoder(w).Encode(v); err != nil {
@@ -203,7 +204,7 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-// writeError writes a JSON error response.
-func (s *Server) writeError(w http.ResponseWriter, code int, msg string) {
-	s.writeJSON(w, code, errorBody{Error: msg})
+// WriteError writes a JSON error response.
+func (s *Server) WriteError(w http.ResponseWriter, code int, msg string) {
+	s.WriteJSON(w, code, errorBody{Error: msg})
 }
